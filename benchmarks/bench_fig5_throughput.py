@@ -28,6 +28,7 @@ from repro.bench.report import (
 )
 from repro.bench.scenarios import build_scenario
 from repro.bench.workloads import Workload, WorkloadSpec
+from repro.net.batch import PipelineConfig
 
 import os
 
@@ -37,13 +38,16 @@ import os
 OPERATIONS = int(os.environ.get("DATABLINDER_BENCH_OPS", "240"))
 USERS = int(os.environ.get("DATABLINDER_BENCH_USERS", "4"))
 SEED = 2019
+#: S_C runs the paper's per-RPC write path (one round trip per index
+#: write), so S_B and S_C compare like for like.
+PER_RPC = PipelineConfig(batch_writes=False)
 
 
 def run_all_scenarios(fresh_deployment):
     reports = {}
     for name in ("S_A", "S_B", "S_C"):
         _, transport = fresh_deployment()
-        app = build_scenario(name, transport)
+        app = build_scenario(name, transport, pipeline=PER_RPC)
         workload = Workload(WorkloadSpec(operations=OPERATIONS, seed=SEED))
         result = run_load(app, workload, users=USERS)
         assert not result.errors, result.errors[:3]

@@ -14,17 +14,21 @@ from repro.bench.loadgen import run_load
 from repro.bench.report import render_latency_table, render_run
 from repro.bench.scenarios import build_scenario
 from repro.bench.workloads import Workload, WorkloadSpec
+from repro.net.batch import PipelineConfig
 
 OPERATIONS = 180
 USERS = 4
 SEED = 73
+#: S_C runs the paper's per-RPC write path (one round trip per index
+#: write), so S_B and S_C compare like for like.
+PER_RPC = PipelineConfig(batch_writes=False)
 
 
 def run_scenarios(fresh_deployment):
     reports = {}
     for name in ("S_A", "S_B", "S_C"):
         _, transport = fresh_deployment()
-        app = build_scenario(name, transport)
+        app = build_scenario(name, transport, pipeline=PER_RPC)
         workload = Workload(WorkloadSpec(operations=OPERATIONS, seed=SEED))
         result = run_load(app, workload, users=USERS)
         assert not result.errors, result.errors[:3]

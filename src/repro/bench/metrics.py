@@ -70,6 +70,10 @@ class OperationStats:
         )
 
 
+#: Key of the synthetic all-operations entry in ``per_operation``.
+OVERALL = "overall"
+
+
 @dataclass
 class RunReport:
     """The outcome of one load-generation run."""
@@ -78,9 +82,14 @@ class RunReport:
     elapsed_seconds: float
     per_operation: dict[str, OperationStats] = field(default_factory=dict)
 
+    def _per_type(self) -> list[OperationStats]:
+        """Every op type's stats, without the merged ``"overall"`` row."""
+        return [stats for name, stats in self.per_operation.items()
+                if name != OVERALL]
+
     @property
     def total_operations(self) -> int:
-        return sum(s.count for s in self.per_operation.values())
+        return sum(s.count for s in self._per_type())
 
     @property
     def overall_throughput(self) -> float:
@@ -90,24 +99,23 @@ class RunReport:
 
     def overall(self) -> OperationStats:
         """Aggregate stats across every operation type."""
-        counts = sum(s.count for s in self.per_operation.values())
+        per_type = self._per_type()
+        counts = sum(s.count for s in per_type)
         if counts == 0:
-            return OperationStats("overall", 0, 0.0, 0.0, 0.0, 0.0, 0.0)
-        mean = sum(
-            s.mean_ms * s.count for s in self.per_operation.values()
-        ) / counts
+            return OperationStats(OVERALL, 0, 0.0, 0.0, 0.0, 0.0, 0.0)
+        mean = sum(s.mean_ms * s.count for s in per_type) / counts
         # Percentiles over merged samples are recomputed by the recorder;
         # this path only runs when samples were discarded, so approximate
         # with the count-weighted maximum.
         return OperationStats(
-            operation="overall",
+            operation=OVERALL,
             count=counts,
             throughput=self.overall_throughput,
             mean_ms=mean,
-            p50_ms=max(s.p50_ms for s in self.per_operation.values()),
-            p75_ms=max(s.p75_ms for s in self.per_operation.values()),
-            p95_ms=max(s.p95_ms for s in self.per_operation.values()),
-            p99_ms=max(s.p99_ms for s in self.per_operation.values()),
+            p50_ms=max(s.p50_ms for s in per_type),
+            p75_ms=max(s.p75_ms for s in per_type),
+            p95_ms=max(s.p95_ms for s in per_type),
+            p99_ms=max(s.p99_ms for s in per_type),
         )
 
 
@@ -141,8 +149,8 @@ class MetricsRecorder:
             )
             merged.extend(values)
         if merged:
-            report.per_operation["overall"] = OperationStats.from_samples(
-                "overall", merged, elapsed
+            report.per_operation[OVERALL] = OperationStats.from_samples(
+                OVERALL, merged, elapsed
             )
         return report
 

@@ -59,7 +59,7 @@ class DataBlinder:
                  resilience: ResilienceConfig | None = None):
         self.registry = registry or default_registry()
         #: Batching/pipelining of the gateway<->cloud data path; the
-        #: default config keeps the unbatched per-RPC baseline.
+        #: default config ships each write operation as one ordered frame.
         self.pipeline = pipeline or PipelineConfig()
         #: Retry/breaker wrapping of the transport; None (the default)
         #: keeps the raw fail-fast behaviour.

@@ -61,6 +61,11 @@ class PaillierPrivateKey:
     p: int = 0
     q: int = 0
 
+    @property
+    def factors(self) -> tuple[int, int] | None:
+        """``(p, q)`` when known, for CRT mask generation."""
+        return (self.p, self.q) if self.p and self.q else None
+
 
 @dataclass(frozen=True)
 class Ciphertext:
@@ -143,14 +148,23 @@ def _unembed_signed(public: PaillierPublicKey, residue: int) -> int:
 
 
 def obfuscator(public: PaillierPublicKey,
-               randbelow: RandBelow | None = None) -> int:
-    """One random mask ``r^n mod n^2`` — the expensive half of encrypt."""
+               randbelow: RandBelow | None = None,
+               factors: tuple[int, int] | None = None) -> int:
+    """One random mask ``r^n mod n^2`` — the expensive half of encrypt.
+
+    With the factors ``(p, q)`` known (the gateway holds them), the
+    power runs as ``r^n mod p²`` and ``r^n mod q²`` recombined under
+    CRT: bit-identical to the full exponentiation for the same ``r``,
+    at about half the cost.
+    """
     randbelow = randbelow or secrets.randbelow
     n = public.n
     while True:
         r = randbelow(n - 1) + 1
         if egcd(r, n)[0] == 1:
             break
+    if factors is not None:
+        return _crt_power(r, n, *factors)
     return pow(r, n, public.n_squared)
 
 
@@ -168,10 +182,11 @@ def encrypt_with_mask(public: PaillierPublicKey, message: int,
 
 
 def encrypt(public: PaillierPublicKey, message: int,
-            randbelow: RandBelow | None = None) -> Ciphertext:
-    """Encrypt a signed integer."""
+            randbelow: RandBelow | None = None,
+            factors: tuple[int, int] | None = None) -> Ciphertext:
+    """Encrypt a signed integer (CRT mask when ``factors`` are given)."""
     return encrypt_with_mask(public, message,
-                             obfuscator(public, randbelow))
+                             obfuscator(public, randbelow, factors))
 
 
 class FixedBaseObfuscator:
@@ -221,17 +236,19 @@ class ObfuscatorPool:
     An optional ``source`` callable replaces the cold per-mask
     exponentiation (the crypto kernel layer plugs a
     :class:`FixedBaseObfuscator` in here, making refills ~7x cheaper).
+    Without one, known ``factors`` make each cold mask a CRT power.
     """
 
     def __init__(self, public: PaillierPublicKey, size: int = 8,
                  randbelow: RandBelow | None = None,
-                 source=None):
+                 source=None,
+                 factors: tuple[int, int] | None = None):
         if size < 1:
             raise CryptoError("obfuscator pool size must be positive")
         self._public = public
         self._randbelow = randbelow
         self._source = source or (
-            lambda: obfuscator(self._public, self._randbelow)
+            lambda: obfuscator(self._public, self._randbelow, factors)
         )
         self._queue: queue.Queue[int] = queue.Queue(maxsize=size)
         self._thread: threading.Thread | None = None

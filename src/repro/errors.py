@@ -98,6 +98,16 @@ class RemoteError(TransportError):
         self.remote_message = message
 
 
+class NotApplied(DataBlinderError):
+    """A batch slot was skipped, untouched, because an earlier slot of
+    the same operation group failed.
+
+    Only ever crosses the wire as the ``error_type`` of a batch slot
+    response (see :meth:`repro.net.rpc.ServiceHost.dispatch_batch`); the
+    gateway re-raises the group's original failure instead.
+    """
+
+
 class GatewayOverloadError(DataBlinderError):
     """The gateway front door refused an operation before execution.
 

@@ -37,6 +37,7 @@ from __future__ import annotations
 import asyncio
 import threading
 from contextvars import ContextVar
+from dataclasses import replace
 from typing import Any, Sequence
 
 from repro.errors import IntegrityError, StaleStateError
@@ -209,9 +210,7 @@ class VerifyingTransport(Transport):
         )
 
     def _rewrite(self, request: Request) -> Request:
-        return Request(
-            request.service, _PROVEN[request.method], request.kwargs
-        )
+        return replace(request, method=_PROVEN[request.method])
 
     def _rewrite_batch(
         self, requests: Sequence[Request]

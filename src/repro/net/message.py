@@ -14,6 +14,11 @@ from typing import Any
 
 from repro.errors import TransportError
 
+#: Single-key dicts that tag a non-JSON value.  A plain dict whose only
+#: key is one of these is escaped under ``__d__`` so it never decodes as
+#: the tagged type.
+_TAGS = frozenset({"__b__", "__t__", "__s__", "__d__"})
+
 
 def _to_wire(obj: Any) -> Any:
     if isinstance(obj, (bytes, bytearray)):
@@ -23,7 +28,10 @@ def _to_wire(obj: Any) -> Any:
     if isinstance(obj, set):
         return {"__s__": sorted(_to_wire(v) for v in obj)}  # type: ignore[type-var]
     if isinstance(obj, dict):
-        return {str(k): _to_wire(v) for k, v in obj.items()}
+        encoded = {str(k): _to_wire(v) for k, v in obj.items()}
+        if len(encoded) == 1 and not _TAGS.isdisjoint(encoded):
+            return {"__d__": encoded}
+        return encoded
     if isinstance(obj, list):
         return [_to_wire(v) for v in obj]
     if obj is None or isinstance(obj, (bool, int, float, str)):
@@ -41,6 +49,8 @@ def _from_wire(obj: Any) -> Any:
             return tuple(_from_wire(v) for v in obj["__t__"])
         if set(obj) == {"__s__"}:
             return {_from_wire(v) for v in obj["__s__"]}
+        if set(obj) == {"__d__"}:
+            obj = obj["__d__"]
         return {k: _from_wire(v) for k, v in obj.items()}
     if isinstance(obj, list):
         return [_from_wire(v) for v in obj]

@@ -36,7 +36,7 @@ import random
 import secrets
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Awaitable, Callable, Sequence
 
 from repro.errors import (
@@ -253,8 +253,7 @@ class ResilientTransport(Transport):
         """
         if request.idem or request.method not in MUTATING_METHODS:
             return request
-        return Request(request.service, request.method, request.kwargs,
-                       idem=self._mint_key())
+        return replace(request, idem=self._mint_key())
 
     # -- retry loop --------------------------------------------------------
 

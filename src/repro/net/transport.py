@@ -23,6 +23,7 @@ from repro.net.rpc import (
     ServiceHost,
     batch_request_payload,
     batch_response_payload,
+    dispatch_ordered,
     requests_from_batch,
     responses_from_batch,
 )
@@ -56,26 +57,22 @@ class Transport(ABC):
         per-request error-isolation contract: a failing sub-call becomes
         an error :class:`Response` in its slot, never an exception.  Only
         a link-level :class:`TransportError` (the frame never made it —
-        retryable above) aborts the loop.
+        retryable above) aborts the loop.  Operation groups keep the
+        host's ordering contract (:func:`~repro.net.rpc.dispatch_ordered`).
         """
-        responses: list[Response] = []
-        for request in requests:
-            try:
-                result = self.call_request(request)
-                responses.append(Response(ok=True, result=result))
-            except RemoteError as exc:
-                responses.append(Response(
-                    ok=False, error_type=exc.remote_type,
-                    error_message=exc.remote_message,
-                ))
-            except TransportError:
-                raise  # link failure: the whole batch is undeliverable
-            except Exception as exc:  # noqa: BLE001 - isolation contract
-                responses.append(Response(
-                    ok=False, error_type=type(exc).__name__,
-                    error_message=str(exc),
-                ))
-        return responses
+        return dispatch_ordered(requests, self._call_isolated)
+
+    def _call_isolated(self, request: Request) -> Response:
+        try:
+            return Response(ok=True, result=self.call_request(request))
+        except RemoteError as exc:
+            return Response(ok=False, error_type=exc.remote_type,
+                            error_message=exc.remote_message)
+        except TransportError:
+            raise  # link failure: the whole batch is undeliverable
+        except Exception as exc:  # noqa: BLE001 - isolation contract
+            return Response(ok=False, error_type=type(exc).__name__,
+                            error_message=str(exc))
 
     # -- async call path ---------------------------------------------------------
 

@@ -13,9 +13,11 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, Callable
 
+from repro.errors import RemoteError
 from repro.keys.keystore import KeyStore
+from repro.net.rpc import Request
 from repro.net.transport import Transport
 from repro.spi.metrics import TacticMetrics
 from repro.stores.docstore import DocumentStore
@@ -54,17 +56,22 @@ class GatewayTacticContext:
     def service(self) -> str:
         return service_name(self.application, self.field, self.tactic)
 
-    def call(self, method: str, **kwargs: Any) -> Any:
+    def call(self, method: str, *,
+             on_abort: Callable[[], None] | None = None,
+             **kwargs: Any) -> Any:
         """Invoke the cloud-side counterpart of this tactic.
 
         When a metrics sink is attached, the protocol round is accounted:
         wall time plus the bytes the transport moved in each direction.
+        ``on_abort`` rides the request as :attr:`Request.on_abort`: a
+        batch collector runs it when the write's operation failed, and
+        an unbatched call runs it when the cloud rejected the call.
         """
         if self.metrics is None:
-            return self.transport.call(self.service, method, **kwargs)
+            return self._send(method, on_abort, kwargs)
         before = self.transport.stats()
         start = time.perf_counter()
-        result = self.transport.call(self.service, method, **kwargs)
+        result = self._send(method, on_abort, kwargs)
         elapsed = time.perf_counter() - start
         after = self.transport.stats()
         self.metrics.record_call(
@@ -73,6 +80,18 @@ class GatewayTacticContext:
             after.bytes_received - before.bytes_received,
         )
         return result
+
+    def _send(self, method: str, on_abort: Callable[[], None] | None,
+              kwargs: dict[str, Any]) -> Any:
+        if on_abort is None:
+            return self.transport.call(self.service, method, **kwargs)
+        try:
+            return self.transport.call_request(
+                Request(self.service, method, kwargs, on_abort=on_abort)
+            )
+        except RemoteError:
+            on_abort()
+            raise
 
     def derive_key(self, purpose: str, length: int = 32) -> bytes:
         return self.keystore.derive(self.field, self.tactic, purpose, length)

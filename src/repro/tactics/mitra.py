@@ -12,6 +12,11 @@ cancelled out (backward privacy of type II).
 
 Search sends the ``c`` addresses; the cloud returns the masked payloads
 and the gateway unmasks, replays tombstones and yields the surviving ids.
+A counter slot whose write's operation failed (see
+:attr:`repro.net.rpc.Request.on_abort`) is *void*: the gateway records
+it locally and leaves it out of every later search, so a failed write
+neither strands the keyword behind a missing entry nor leaves an entry
+for a document that was never stored.
 
 SPI surface (Table 2 row: 7 gateway / 5 cloud): Setup, Insertion,
 DocIDGen, Update, Deletion, EqQuery, EqResolution // Setup, Insertion,
@@ -20,6 +25,7 @@ Update, Deletion, EqQuery.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Any
 
 from repro.crypto.encoding import Value, encode_value
@@ -81,6 +87,22 @@ class MitraGateway(
     def _count(self, keyword: bytes) -> int:
         return self.ctx.local_kv.counter_get(self._counter_key(keyword))
 
+    def _void_key(self, keyword: bytes) -> bytes:
+        return self.ctx.state_key(b"void",
+                                  prf(self._master, b"cnt", keyword))
+
+    def _void(self, keyword: bytes, count: int) -> None:
+        """Drop counter slot ``count`` from every later search."""
+        self.ctx.local_kv.set_add(self._void_key(keyword),
+                                  count.to_bytes(8, "big"))
+
+    def _live_slots(self, keyword: bytes) -> list[int]:
+        void = self.ctx.local_kv.set_members(self._void_key(keyword))
+        return [
+            c for c in range(1, self._count(keyword) + 1)
+            if c.to_bytes(8, "big") not in void
+        ]
+
     # -- update protocol ----------------------------------------------------------
 
     def _append(self, op: int, doc_id: str, value: Value) -> None:
@@ -96,6 +118,7 @@ class MitraGateway(
             "insert",
             address=address,
             payload=_mask_payload(pad_seed, op, doc_id),
+            on_abort=partial(self._void, keyword, count),
         )
 
     def insert(self, doc_id: str, value: Value) -> None:
@@ -114,19 +137,18 @@ class MitraGateway(
     def eq_query(self, value: Value) -> Any:
         keyword = self._keyword(value)
         k_w = keyword_key(self._master, keyword)
-        count = self._count(keyword)
+        slots = self._live_slots(keyword)
         addresses = [
-            prf(k_w, b"addr", c.to_bytes(8, "big"))
-            for c in range(1, count + 1)
+            prf(k_w, b"addr", c.to_bytes(8, "big")) for c in slots
         ]
         masked = self.ctx.call("eq_query", addresses=addresses)
-        return {"keyword": keyword, "masked": masked}
+        return {"keyword": keyword, "slots": slots, "masked": masked}
 
     def resolve_eq(self, raw: Any) -> set[str]:
         keyword = raw["keyword"]
         k_w = keyword_key(self._master, keyword)
         alive: set[str] = set()
-        for index, masked in enumerate(raw["masked"], start=1):
+        for index, masked in zip(raw["slots"], raw["masked"]):
             if masked is None:
                 raise TacticError("cloud lost a Mitra index entry")
             pad_seed = prf(k_w, b"pad", index.to_bytes(8, "big"))

@@ -75,6 +75,7 @@ class PaillierGateway(
                 self._private.public, size=pool_size,
                 source=(self._fixed_base.mask
                         if self._fixed_base is not None else None),
+                factors=self._private.factors,
             )
             if pool_size > 0 else None
         )
@@ -93,7 +94,8 @@ class PaillierGateway(
             return self._obfuscators.encrypt(encoded)
         if self._fixed_base is not None:
             return self._fixed_base.encrypt(encoded)
-        return paillier.encrypt(self._private.public, encoded)
+        return paillier.encrypt(self._private.public, encoded,
+                                factors=self._private.factors)
 
     def insert(self, doc_id: str, value: Value) -> None:
         ciphertext = self._encrypt(self._encode(value))

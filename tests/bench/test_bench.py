@@ -55,7 +55,22 @@ class TestMetricsRecorder:
             1.5
         )
         assert report.per_operation["overall"].count == 4
-        assert report.total_operations == 8  # overall double-counts merged
+        assert report.total_operations == 4
+
+    def test_overall_throughput_counts_each_op_once(self):
+        recorder = MetricsRecorder()
+        for _ in range(6):
+            recorder.record("insert", 0.01)
+        for _ in range(4):
+            recorder.record("eq_search", 0.02)
+        report = recorder.report("S_X", elapsed=2.5)
+        # 10 real ops in 2.5 s; the merged "overall" row adds none.
+        assert report.total_operations == 10
+        assert report.overall_throughput == pytest.approx(10 / 2.5)
+        assert report.overall().count == 10
+        assert report.overall().throughput == pytest.approx(
+            report.per_operation["overall"].throughput
+        )
 
     def test_timed_context_manager(self):
         recorder = MetricsRecorder()

@@ -54,7 +54,8 @@ class TestBatchedWrites:
 
     def test_unbatched_insert_stays_per_rpc(self):
         entities, transport = make_deployment(
-            schema=benchmark_observation_schema
+            PipelineConfig(batch_writes=False),
+            schema=benchmark_observation_schema,
         )
         before = transport.stats().messages_sent
         entities.insert(documents(1)[0])

@@ -40,6 +40,46 @@ class TestObfuscator:
         assert paillier.decrypt(key, ea + eb) == 42
 
 
+class TestCrtMask:
+    """With the factors known, masks are CRT powers — bit-identical."""
+
+    def test_crt_mask_equals_full_power(self, key):
+        public = key.public
+        for seed in range(64):
+            full = paillier.obfuscator(
+                public, DeterministicRandom(b"r%d" % seed).randbelow
+            )
+            crt = paillier.obfuscator(
+                public, DeterministicRandom(b"r%d" % seed).randbelow,
+                factors=key.factors,
+            )
+            assert crt == full
+
+    def test_crt_mask_at_deployment_size(self):
+        key = paillier.generate_keypair(
+            1024, DeterministicRandom(b"crt-1024").randbelow
+        )
+        for seed in range(4):
+            r = DeterministicRandom(b"s%d" % seed).randbelow(key.public.n)
+            crt = paillier.obfuscator(key.public, lambda _bound, r=r: r - 1,
+                                      factors=key.factors)
+            assert crt == pow(r, key.public.n, key.public.n_squared)
+
+    def test_pool_refills_with_crt_masks(self, key):
+        pool = paillier.ObfuscatorPool(key.public, size=2,
+                                       factors=key.factors)
+        try:
+            ciphertext = pool.encrypt(-77)
+            assert paillier.decrypt(key, ciphertext) == -77
+        finally:
+            pool.close()
+
+    def test_keys_without_factors_use_the_full_power(self, key):
+        bare = paillier.PaillierPrivateKey(key.public, key.lam, key.mu)
+        assert bare.factors is None
+        assert key.factors == (key.p, key.q)
+
+
 class TestObfuscatorPool:
     def test_rejects_non_positive_size(self, key):
         with pytest.raises(CryptoError):

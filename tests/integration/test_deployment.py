@@ -9,6 +9,7 @@ from repro.core.query import Eq
 from repro.core.registry import TacticRegistry
 from repro.fhir.model import observation_schema
 from repro.keys.keystore import KeyStore
+from repro.net.batch import PipelineConfig
 from repro.net.latency import NetworkModel
 from repro.net.tcp import TcpRpcServer, TcpTransport
 from repro.net.transport import InProcTransport
@@ -162,7 +163,8 @@ class TestNetworkModelDeployment:
         cloud = CloudZone(registry)
         model = NetworkModel(one_way_latency_ms=1.0, sleep=False)
         transport = InProcTransport(cloud.host, model)
-        blinder = DataBlinder("netapp", transport, registry=registry)
+        blinder = DataBlinder("netapp", transport, registry=registry,
+                              pipeline=PipelineConfig(batch_writes=False))
         blinder.register_schema(observation_schema())
         observations = blinder.entities("observation")
         before = transport.stats()

@@ -29,6 +29,14 @@ def test_roundtrip(payload):
     assert decode(encode(payload)) == payload
 
 
+@pytest.mark.parametrize("payload", [
+    {"__s__": ""}, {"__t__": None}, {"__b__": "00"}, {"__d__": 1},
+    {"x": {"__s__": []}},
+])
+def test_plain_dicts_named_like_tags_survive(payload):
+    assert decode(encode(payload)) == payload
+
+
 def test_bytes_tagging():
     assert decode(encode(b"\x00\xff")) == b"\x00\xff"
 

@@ -2,8 +2,10 @@
 
 import pytest
 
+from repro.core.middleware import DataBlinder
 from repro.core.query import Eq
 from repro.fhir.model import observation_schema
+from repro.net.batch import PipelineConfig
 from repro.spi.metrics import OperationCost, TacticMetrics
 
 
@@ -74,7 +76,9 @@ class TestMiddlewareIntegration:
         report = blinder.metrics_report()
         assert "paillier" in report and "biex-2lev" in report
 
-    def test_rounds_match_transport_counts(self, blinder, transport):
+    def test_rounds_match_transport_counts(self, transport, registry):
+        blinder = DataBlinder("testapp", transport, registry=registry,
+                              pipeline=PipelineConfig(batch_writes=False))
         blinder.register_schema(observation_schema())
         entities = blinder.entities("observation")
         blinder.runtime.metrics.reset()
