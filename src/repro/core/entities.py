@@ -9,6 +9,8 @@ keys, tactics or ciphertexts.
 
 from __future__ import annotations
 
+import asyncio
+
 from repro.core.executor import SchemaExecutor
 from repro.core.query import AggregateQuery, Eq, Predicate, Range
 from repro.crypto.encoding import Value
@@ -147,13 +149,16 @@ class Entities:
 class AsyncEntities:
     """The coroutine flavour of :class:`Entities`.
 
-    Same operations, same results, awaitable: each method delegates to
-    the executor's async path, which keeps gateway-local crypto on
-    worker threads and awaits the wire natively so one event loop can
-    interleave many concurrent operations.  Obtain instances from the
-    async gateway runtime — the two façades share the executor, plan
-    cache and write pipeline, so sync and async callers may be mixed
-    freely on one application.
+    Same operations, same results, awaitable: each method is one
+    ``asyncio.to_thread`` hop into the blocking executor, so the whole
+    operation (crypto, planning and wire waits) runs on a worker of the
+    loop's default executor while the event loop stays free to admit
+    and schedule others.  ``to_thread`` copies the caller's context, so
+    the operation's batch scope, cache principal and shard-timing sink
+    follow it onto the worker.  Obtain instances from the async gateway
+    runtime — the façades share the executor, plan cache and write
+    pipeline, so sync and async callers may be mixed freely on one
+    application.
     """
 
     def __init__(self, executor: SchemaExecutor):
@@ -166,48 +171,49 @@ class AsyncEntities:
     # -- CRUD -----------------------------------------------------------------
 
     async def insert(self, document: dict[str, Value]) -> str:
-        return await self._executor.insert_async(document)
+        return await asyncio.to_thread(self._executor.insert, document)
 
     async def insert_many(
         self, documents: list[dict[str, Value]]
     ) -> list[str]:
-        return await self._executor.insert_many_async(documents)
+        return await asyncio.to_thread(self._executor.insert_many,
+                                       documents)
 
     async def get(self, doc_id: str) -> dict[str, Value]:
-        return await self._executor.get_async(doc_id)
+        return await asyncio.to_thread(self._executor.get, doc_id)
 
     async def update(self, doc_id: str,
                      changes: dict[str, Value]) -> None:
-        await self._executor.update_async(doc_id, changes)
+        await asyncio.to_thread(self._executor.update, doc_id, changes)
 
     async def delete(self, doc_id: str) -> bool:
-        return await self._executor.delete_async(doc_id)
+        return await asyncio.to_thread(self._executor.delete, doc_id)
 
     # -- search ------------------------------------------------------------------
 
     async def find(self, predicate: Predicate | None = None,
                    verify: bool | None = None,
                    limit: int | None = None) -> list[dict[str, Value]]:
-        return await self._executor.find_async(
-            predicate, verify=verify, limit=limit
+        return await asyncio.to_thread(
+            self._executor.find, predicate, verify=verify, limit=limit
         )
 
     async def find_one(self,
                        predicate: Predicate) -> dict[str, Value] | None:
-        results = await self._executor.find_async(predicate, limit=1)
+        results = await self.find(predicate, limit=1)
         return results[0] if results else None
 
     async def find_ids(self,
                        predicate: Predicate | None = None) -> set[str]:
-        return await self._executor.find_ids_async(predicate)
+        return await asyncio.to_thread(self._executor.find_ids, predicate)
 
     async def count(self, predicate: Predicate | None = None) -> int:
-        return await self._executor.count_async(predicate)
+        return await asyncio.to_thread(self._executor.count, predicate)
 
     # -- aggregates ----------------------------------------------------------------
 
     async def aggregate(self, query: AggregateQuery) -> Value:
-        return await self._executor.aggregate_async(query)
+        return await asyncio.to_thread(self._executor.aggregate, query)
 
     async def average(self, field: str,
                       where: Predicate | None = None) -> Value:
@@ -236,8 +242,9 @@ class AsyncEntities:
     async def find_sorted(self, field: str, limit: int | None = None,
                           descending: bool = False
                           ) -> list[dict[str, Value]]:
-        return await self._executor.find_sorted_async(
-            field, limit=limit, descending=descending
+        return await asyncio.to_thread(
+            self._executor.find_sorted, field, limit=limit,
+            descending=descending,
         )
 
     # -- convenience predicates -------------------------------------------------------

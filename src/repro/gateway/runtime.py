@@ -4,9 +4,11 @@ The gateway used to spend a blocked OS thread per concurrent operation.
 This module replaces that with one long-lived event loop: operations are
 admitted through the service tier (rate limit, audit), bounded by an
 in-flight semaphore, cancelled at their deadline, and executed as
-asyncio tasks over the transports' native async paths.  Gateway-local
-crypto still runs on worker threads (``asyncio.to_thread``); only the
-wire waits are interleaved, which is where the concurrency was dying.
+asyncio tasks.  Each task runs its whole operation — crypto, planning
+and wire waits — in one ``asyncio.to_thread`` hop into the blocking
+executor (:class:`~repro.core.entities.AsyncEntities`), on the loop's
+sized default executor; there is one execution core below the
+runtime, and the loop only schedules.
 
 Isolation comes from ``contextvars``: every admitted operation runs as
 its own asyncio task, and task creation snapshots the context, so one
@@ -17,7 +19,7 @@ were cancelled mid-scope at their deadline.
 :class:`SyncGateway` is the blocking façade: the exact ``Entities``
 method surface, each call submitted to the loop and joined.  Existing
 synchronous code keeps its API and its results; it simply shares the
-loop's admission, deadline and audit machinery with native async
+loop's admission, deadline and audit machinery with coroutine
 callers.
 """
 
@@ -26,7 +28,7 @@ from __future__ import annotations
 import asyncio
 import threading
 import time
-from concurrent.futures import Future
+from concurrent.futures import Future, TimeoutError as FutureTimeout
 from typing import Any, Awaitable, Callable, TYPE_CHECKING
 
 from repro.errors import (
@@ -98,9 +100,10 @@ class AsyncGatewayRuntime:
       queues as an admitted-but-waiting task.
     * **Deadlines** — ``deadline_s`` (per call, with a runtime default)
       cancels the operation's task via ``asyncio.wait_for`` and raises
-      :class:`~repro.errors.DeadlineExceeded`.  Replicated quorum
-      writes detach their pending legs before cancellation unwinds, so
-      durability is never silently dropped.
+      :class:`~repro.errors.DeadlineExceeded`.  Cancelling stops the
+      awaiting task, not the operation: its worker thread runs it to
+      completion, and ``close`` joins such workers before the
+      replicated-write barrier.
     * **Audit** — every terminal outcome (``ok``, ``error``,
       ``expired``, ``rate_limited``, ``rejected``) is recorded with the
       principal, operation, touched fields and latency.
@@ -307,10 +310,12 @@ class AsyncGatewayRuntime:
         return self.blinder.runtime.drain_async_writes(timeout)
 
     def close(self, timeout: float = 30.0) -> None:
-        """Ordered shutdown: refuse → drain ops → drain writes → stop.
+        """Ordered shutdown: refuse → drain ops → join workers → drain
+        writes → stop.
 
         New submissions are refused first, in-flight operations get
-        ``timeout`` seconds to finish, the replicated-write barrier
+        ``timeout`` seconds to finish, the workers of operations that
+        expired mid-write are joined, the replicated-write barrier
         runs, and only then does the loop stop — so nothing durable is
         lost to an abrupt teardown.
         """
@@ -325,6 +330,14 @@ class AsyncGatewayRuntime:
                 if self._pending == 0:
                     break
             time.sleep(0.005)
+        if loop is not None:
+            joined = asyncio.run_coroutine_threadsafe(
+                loop.shutdown_default_executor(), loop
+            )
+            try:
+                joined.result(max(0.001, deadline - time.monotonic()))
+            except FutureTimeout:
+                pass
         remaining = max(0.001, deadline - time.monotonic())
         self.blinder.runtime.drain_async_writes(remaining)
         if loop is not None:

@@ -17,19 +17,21 @@ from repro.core.schema import FieldAnnotation, Schema
 from repro.errors import (
     AdmissionRejected,
     DeadlineExceeded,
+    DocumentNotFound,
     RateLimitExceeded,
 )
 from repro.gateway.frontdoor import AuditLog, FrontDoor, RateLimiter
 from repro.gateway.runtime import AsyncGatewayRuntime
+from repro.net.latency import NetworkModel
 from repro.net.transport import InProcTransport
 from repro.tactics import register_builtin_tactics
 
 
-def build_blinder(name="rtapp"):
+def build_blinder(name="rtapp", network=None):
     registry = TacticRegistry()
     register_builtin_tactics(registry)
     cloud = CloudZone(registry)
-    blinder = DataBlinder(name, InProcTransport(cloud.host),
+    blinder = DataBlinder(name, InProcTransport(cloud.host, network),
                           registry=registry)
     schema = Schema.define(
         "obs",
@@ -166,6 +168,62 @@ class TestDeadlines:
             assert runtime.submit(
                 lambda: aentities.count(None), deadline_s=10.0
             ).result(10) == 0
+
+
+class TestExpiredRealWrites:
+    """A deadline cancels the awaiting task, not the write: the worker
+    finishes the operation, and ``close`` joins it.  Either way the
+    store and every index must agree afterwards."""
+
+    @staticmethod
+    def assert_consistent(entities, status):
+        found = entities.find(Eq("status", status))
+        assert entities.count(Eq("status", status)) == len(found)
+        return {document["_id"] for document in found}
+
+    def test_expired_insert_and_update_leave_store_and_index_agreeing(self):
+        blinder = build_blinder(
+            network=NetworkModel(one_way_latency_ms=40.0)
+        )
+        entities = blinder.entities("obs")
+        entities.insert({"_id": "kept", "status": "open", "value": 1.0})
+        runtime = AsyncGatewayRuntime(blinder)
+        aentities = runtime.entities("obs")
+        try:
+            with pytest.raises(DeadlineExceeded):
+                runtime.submit(
+                    lambda: aentities.insert(
+                        {"_id": "late", "status": "new", "value": 2.0}
+                    ),
+                    op="insert", deadline_s=0.02,
+                ).result(10)
+            with pytest.raises(DeadlineExceeded):
+                runtime.submit(
+                    lambda: aentities.update("kept", {"status": "closed"}),
+                    op="update", deadline_s=0.02,
+                ).result(10)
+        finally:
+            runtime.close()
+        # close() joined the expired operations' workers: nothing of
+        # theirs is still on the wire.
+        wire = blinder.runtime.transport
+        sent_after_close = wire.stats().messages_sent
+        time.sleep(0.3)
+        assert wire.stats().messages_sent == sent_after_close
+        assert runtime.stats.snapshot()["expired"] == 2
+
+        try:
+            stored = entities.get("late")
+        except DocumentNotFound:
+            stored = None
+        new_ids = self.assert_consistent(entities, "new")
+        assert new_ids == ({"late"} if stored is not None else set())
+
+        status = entities.get("kept")["status"]
+        assert status in ("open", "closed")
+        other = "closed" if status == "open" else "open"
+        assert self.assert_consistent(entities, status) == {"kept"}
+        assert self.assert_consistent(entities, other) == set()
 
 
 class TestFrontDoorWiring:

@@ -1,22 +1,15 @@
-"""Sync/async equivalence: the event-loop execution paths must be
-byte-identical to the thread-blocking ones.
+"""Sync/async equivalence: the event-loop entry points must answer
+byte-identically to the thread-blocking ones.
 
-Two sweeps:
+**Read equivalence** — every planner operation, over every predicate
+shape of the plan-equivalence suite, answered once by the classic sync
+``Entities`` and once by ``AsyncEntities`` (and once more via the
+:class:`~repro.gateway.runtime.SyncGateway` façade) against the *same*
+stored corpus: results, ordering included, must match exactly, under
+both the baseline pipeline and the all-optimisations pipeline.
 
-* **Read equivalence** — every planner operation, over every predicate
-  shape of the plan-equivalence suite, answered once by the classic
-  sync ``Entities`` and once by ``AsyncEntities`` (and once more via
-  the :class:`~repro.gateway.runtime.SyncGateway` façade) against the
-  *same* stored corpus: results, ordering included, must match
-  exactly, under both the baseline pipeline and the all-optimisations
-  pipeline.
-
-* **Write equivalence** — a recorded post-batching request stream is
-  replayed into fresh identical shard clusters once through the
-  router's sync scatter and once through its native asyncio scatter:
-  per-zone :func:`~repro.analysis.snapshot.zone_fingerprint` digests
-  must be byte-identical, including under replication with write
-  quorums (the detached async legs must land the same bytes).
+The router has one scatter path, so sharded write equivalence is
+covered by ``tests/integration/test_shard_write_equivalence.py``.
 """
 
 from __future__ import annotations
@@ -25,17 +18,13 @@ import asyncio
 
 import pytest
 
-from repro.analysis.snapshot import zone_fingerprint
-from repro.cloud.cluster import CloudCluster
 from repro.cloud.server import CloudZone
 from repro.core.middleware import DataBlinder
 from repro.core.query import AggregateQuery, And, Eq, Not, Or, Range
 from repro.core.registry import TacticRegistry
 from repro.core.schema import FieldAnnotation, Schema
 from repro.net.batch import PipelineConfig
-from repro.net.transport import InProcTransport, Transport
-from repro.shard.config import ShardConfig
-from repro.shard.router import ShardedTransport
+from repro.net.transport import InProcTransport
 from repro.spi.descriptors import Aggregate
 from repro.tactics import register_builtin_tactics
 
@@ -201,121 +190,3 @@ class TestReadEquivalence:
             blinder.async_entities("obs").delete(bulk_id)
         )
         assert entities.count(Eq("status", "async")) == 1
-
-
-def fresh_registry():
-    registry = TacticRegistry()
-    register_builtin_tactics(registry)
-    return registry
-
-
-class RecordingTransport(Transport):
-    """Logs every frame crossing the gateway/cloud boundary, in order."""
-
-    def __init__(self, inner):
-        self._inner = inner
-        self.log = []
-
-    def call(self, service, method, **kwargs):
-        from repro.net.rpc import Request
-
-        return self.call_request(Request(service, method, kwargs))
-
-    def call_request(self, request):
-        self.log.append(("call", request))
-        return self._inner.call_request(request)
-
-    def call_batch(self, requests):
-        requests = list(requests)
-        self.log.append(("batch", requests))
-        return self._inner.call_batch(requests)
-
-    def stats(self):
-        return self._inner.stats()
-
-    def close(self):
-        self._inner.close()
-
-
-@pytest.fixture(scope="module")
-def recorded_stream():
-    """One write workload's post-batching stream, recorded once."""
-    registry = fresh_registry()
-    zone = CloudZone(registry)
-    recorder = RecordingTransport(InProcTransport(zone.host))
-    blinder = DataBlinder(APP, recorder, registry=registry,
-                          pipeline=PipelineConfig(batch_writes=True))
-    schema = Schema.define(
-        "obs",
-        status=("string", FieldAnnotation.parse("C3", "I,EQ,BL")),
-        effective=("int", FieldAnnotation.parse("C5", "I,EQ,RG",
-                                                "min,max")),
-        note="string",
-    )
-    blinder.register_schema(schema)
-    entities = blinder.entities("obs")
-    ids = entities.insert_many([
-        {"status": ["final", "draft"][i % 2], "effective": i,
-         "note": f"n{i}"}
-        for i in range(10)
-    ])
-    entities.update(ids[2], {"status": "amended"})
-    entities.delete(ids[7])
-    zone.close()
-    assert any(kind == "batch" for kind, _ in recorder.log)
-    return recorder.log
-
-
-def replay(log, shards, config, mode):
-    """Replay the stream sync or async; digest every zone."""
-    registry = fresh_registry()
-    cluster = CloudCluster(shards, registry=registry)
-    router = ShardedTransport(cluster.nodes(), config)
-    try:
-        if mode == "sync":
-            for kind, payload in log:
-                if kind == "batch":
-                    router.call_batch(list(payload))
-                else:
-                    router.call_request(payload)
-            router.drain_async_writes(timeout=30.0)
-        else:
-            async def drive():
-                for kind, payload in log:
-                    if kind == "batch":
-                        await router.call_batch_async(list(payload))
-                    else:
-                        await router.call_request_async(payload)
-                # Drain while the loop (and its detached delivery
-                # tasks) is still alive: the ordered-shutdown contract.
-                await asyncio.to_thread(router.drain_async_writes, 30.0)
-
-            asyncio.run(drive())
-        assert router.async_write_failures() == 0
-        return {
-            name: zone_fingerprint(cluster.zone(name), APP)
-            for name in cluster.names()
-        }
-    finally:
-        router.close()
-        cluster.close()
-
-
-#: (shards, replication, write_quorum)
-SHARD_CASES = [(1, 1, 0), (4, 1, 0), (4, 2, 0), (4, 2, 1), (3, 3, 2)]
-
-
-class TestWriteFingerprintEquivalence:
-    @pytest.mark.parametrize("shards,replication,quorum", SHARD_CASES)
-    def test_async_scatter_lands_identical_bytes(
-        self, recorded_stream, shards, replication, quorum
-    ):
-        config = ShardConfig(replication=replication,
-                             write_quorum=quorum)
-        baseline = replay(recorded_stream, shards, config, "sync")
-        via_async = replay(recorded_stream, shards, config, "async")
-        assert via_async == baseline
-        if replication < shards:
-            # Full replication makes every zone identical; otherwise
-            # the corpus must actually have spread across the ring.
-            assert len(set(baseline.values())) > 1

@@ -1,6 +1,7 @@
 """TCP transport: a real socket between the two zones."""
 
 import threading
+import time
 
 import pytest
 
@@ -118,3 +119,114 @@ class TestTcpTransport:
             transport.close()
             server2.shutdown()
             server2.server_close()
+
+
+class ConnectionCountingServer(TcpRpcServer):
+    """Counts connections opened and connections whose client hung up."""
+
+    def __init__(self, host):
+        super().__init__(host)
+        self.lock = threading.Lock()
+        self.opened = 0
+        self.ended = 0
+
+    def finish_request(self, request, client_address):
+        with self.lock:
+            self.opened += 1
+        try:
+            # The handler loops until its client's socket reaches EOF.
+            super().finish_request(request, client_address)
+        finally:
+            with self.lock:
+                self.ended += 1
+
+    def counts(self):
+        with self.lock:
+            return self.opened, self.ended
+
+
+class TestEveryThreadsConnection:
+    THREADS = 6
+
+    @pytest.fixture()
+    def counting_server(self):
+        host = ServiceHost()
+        host.register("math", MathService())
+        server = ConnectionCountingServer(host)
+        server.serve_in_background()
+        yield server
+        server.shutdown()
+        server.server_close()
+
+    @staticmethod
+    def wait_for(predicate, timeout=5.0):
+        deadline = time.monotonic() + timeout
+        while time.monotonic() < deadline:
+            if predicate():
+                return True
+            time.sleep(0.01)
+        return predicate()
+
+    def test_close_closes_every_threads_socket(self, counting_server):
+        transport = TcpTransport(counting_server.endpoint)
+        called = threading.Barrier(self.THREADS + 1)
+        release = threading.Event()
+        results = []
+
+        def worker(n):
+            results.append(transport.call("math", "add", a=n, b=1))
+            called.wait()
+            # Stay alive past close(): a socket owned by a live thread
+            # must still be closed by it.
+            release.wait(10.0)
+
+        threads = [threading.Thread(target=worker, args=(n,))
+                   for n in range(self.THREADS)]
+        for thread in threads:
+            thread.start()
+        try:
+            called.wait(10.0)
+            assert sorted(results) == list(range(1, self.THREADS + 1))
+            assert counting_server.counts() == (self.THREADS, 0)
+            transport.close()
+            assert self.wait_for(
+                lambda: counting_server.counts()[1] == self.THREADS
+            ), counting_server.counts()
+        finally:
+            release.set()
+            for thread in threads:
+                thread.join()
+
+    def test_concurrent_threads_ride_parallel_sockets(self):
+        host = ServiceHost()
+        host.register("slow", SlowService())
+        server = TcpRpcServer(host)
+        server.serve_in_background()
+        transport = TcpTransport(server.endpoint)
+        try:
+            results = []
+            threads = [
+                threading.Thread(target=lambda n=n: results.append(
+                    transport.call("slow", "echo", value=n, delay=0.05)
+                ))
+                for n in range(6)
+            ]
+            started = time.perf_counter()
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+            elapsed = time.perf_counter() - started
+            assert sorted(results) == list(range(6))
+            # Serialized over one socket this is >= 0.30 s.
+            assert elapsed < 0.25
+        finally:
+            transport.close()
+            server.shutdown()
+            server.server_close()
+
+
+class SlowService:
+    def echo(self, value, delay):
+        time.sleep(delay)
+        return value
